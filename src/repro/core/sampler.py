@@ -167,7 +167,7 @@ class NoiseCollection:
         if not self._samples:
             raise TrainingError("cannot sample from an empty noise collection")
         indices = _sampling_generator(rng, n).integers(0, len(self._samples), size=n)
-        return self._member_stack()[indices]
+        return self._member_stack().take(indices, 0)
 
     def sample_splits(
         self, rng: "np.random.Generator | NoiseStream", splits: Sequence[int]
@@ -183,11 +183,11 @@ class NoiseCollection:
         """
         if not self._samples:
             raise TrainingError("cannot sample from an empty noise collection")
-        total = int(sum(int(rows) for rows in splits))
+        total = int(sum(splits))
         indices = _sampling_generator(rng, total).integers(
             0, len(self._samples), size=total
         )
-        return self._member_stack()[indices]
+        return self._member_stack().take(indices, 0)
 
     def sample_elementwise(self, rng: np.random.Generator) -> np.ndarray:
         """Draw a *new* tensor from the per-element empirical marginals.

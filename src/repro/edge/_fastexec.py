@@ -1091,6 +1091,19 @@ def load() -> ctypes.CDLL | None:
     return _MODULE.load()
 
 
+def _address(array: np.ndarray) -> int:
+    """Data pointer of a C-contiguous array.
+
+    ``ctypes.c_char.from_buffer`` reads it from the buffer protocol,
+    several times cheaper than ``array.ctypes.data``; read-only arrays
+    (payload views of received frames) and empty ones take the ``ctypes``
+    route.
+    """
+    if array.flags.writeable and array.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
+
+
 class CompiledProgram:
     """One lowered :class:`~repro.edge.ir.Program` bound to the native
     interpreter for a fixed ``(batch, input geometry)``.
@@ -1121,6 +1134,7 @@ class CompiledProgram:
         self.n = n
         self.program = program
         self.out_shape = program.out_spec.shape
+        self._batch_out_shape = (n, *self.out_shape)
         self.in_dtype = program.in_spec.numpy_dtype
         self.needs_extra = any(op.add_rows for op in program.ops)
         # Strong references keep the weight arrays alive behind the raw
@@ -1291,10 +1305,10 @@ class CompiledProgram:
         """
         if self.needs_extra and extra is None:
             raise ValueError("program folds an epilogue add; extra is required")
-        out = np.empty((self.n, *self.out_shape), dtype=np.float32)
+        out = np.empty(self._batch_out_shape, np.float32)
         args = self._args
-        args[4] = x.ctypes.data
-        args[5] = out.ctypes.data
-        args[10] = 0 if extra is None else extra.ctypes.data
+        args[4] = _address(x)
+        args[5] = _address(out)
+        args[10] = 0 if extra is None else _address(extra)
         self._run(*args)
         return out

@@ -98,10 +98,28 @@ class EdgeDevice:
         )
         self._next_request = 0
 
+    def _norm_operands(self, channels: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and std shaped to broadcast over ``channels``-channel images.
+
+        Single-channel constants become 0-d arrays: numpy's scalar-operand
+        loops are faster than broadcasting a ``(1, 1, 1, 1)`` array, and
+        the float32 arithmetic is the same.
+        """
+        if channels == 1 and self.mean.size == 1 and self.std.size == 1:
+            return self.mean.reshape(()), self.std.reshape(())
+        shape = (1, channels, 1, 1)
+        return self.mean.reshape(shape), self.std.reshape(shape)
+
     def normalize(self, images: np.ndarray) -> np.ndarray:
-        """Apply the backbone's training normalisation."""
-        c = images.shape[1]
-        return (images - self.mean.reshape(1, c, 1, 1)) / self.std.reshape(1, c, 1, 1)
+        """Apply the backbone's training normalisation.
+
+        One temporary: the subtraction's result is divided in place, which
+        is the same elementwise operation as ``(x - mean) / std``.
+        """
+        mean, std = self._norm_operands(images.shape[1])
+        out = images - mean
+        out /= std
+        return out
 
     def warm(self, batch_shape: tuple[int, ...]) -> tuple[int, ...]:
         """Pre-size executor scratch (and compile native programs) for one
@@ -116,8 +134,25 @@ class EdgeDevice:
             batch_shape, epilogue_add=self.noise is not None
         )
 
+    def _normalized_stack(self, batches: Sequence[np.ndarray]) -> np.ndarray:
+        """The micro-batch's images stacked and normalised.
+
+        The stack is a fresh array, so a float32 stack is normalised in
+        place: the same elementwise ``(x - mean) / std`` with no further
+        temporary.
+        """
+        if len(batches) == 1:
+            return self.normalize(batches[0])
+        stacked = np.concatenate(batches)
+        if stacked.dtype != np.float32:
+            return self.normalize(stacked)
+        mean, std = self._norm_operands(stacked.shape[1])
+        stacked -= mean
+        stacked /= std
+        return stacked
+
     def _noisy_activation(self, images: np.ndarray, splits: Sequence[int]) -> np.ndarray:
-        """Local half + per-request noise for a stacked image batch.
+        """Local half + per-request noise for a normalised image batch.
 
         ``splits`` gives the per-request row counts; the collection is
         sampled once per request *in order*, consuming the generator exactly
@@ -132,7 +167,7 @@ class EdgeDevice:
                 noise = self.noise.sample_batch(self.noise_stream, splits[0])
             else:
                 noise = self.noise.sample_splits(self.noise_stream, splits)
-        return self._executor(self.normalize(images), epilogue_add=noise)
+        return self._executor(images, epilogue_add=noise)
 
     def process(self, images: np.ndarray) -> ActivationMessage:
         """Run the local half and inject sampled noise (one request).
@@ -140,7 +175,7 @@ class EdgeDevice:
         This is the sequential reference path the batched runtime is
         parity-tested against.
         """
-        activation = self._noisy_activation(images, [len(images)])
+        activation = self._noisy_activation(self.normalize(images), [len(images)])
         message = ActivationMessage(request_id=self._next_request, tensor=activation)
         self._next_request += 1
         return message
@@ -164,16 +199,15 @@ class EdgeDevice:
         """
         if len(batches) == 0:
             raise ConfigurationError("forward_batch needs at least one request")
-        splits = [len(batch) for batch in batches]
-        if any(rows == 0 for rows in splits):
+        splits = tuple(map(len, batches))
+        if 0 in splits:
             raise ConfigurationError("every request needs at least one image")
         if request_ids is None:
             request_ids = range(self._next_request, self._next_request + len(batches))
             self._next_request += len(batches)
         elif len(request_ids) != len(batches):
             raise ConfigurationError("request_ids and batches must pair up")
-        stacked = batches[0] if len(batches) == 1 else np.concatenate(batches)
-        activation = self._noisy_activation(stacked, splits)
+        activation = self._noisy_activation(self._normalized_stack(batches), splits)
         quantization = self.quantization
         if quantization is not None:
             activation = quantize(activation, quantization)
@@ -182,8 +216,8 @@ class EdgeDevice:
                 # travel as one byte per element.
                 activation = activation.astype(np.uint8)
         return BatchActivationMessage(
-            request_ids=tuple(int(i) for i in request_ids),
-            splits=tuple(splits),
+            request_ids=tuple(map(int, request_ids)),
+            splits=splits,
             tensor=activation,
             quantization=quantization,
         )

@@ -430,6 +430,13 @@ class BatchInvariantExecutor:
         ]
         self._scratch: dict[tuple, np.ndarray] = {}
         self._segments = ir.segment_modules(self._plan)
+        # The epilogue add belongs to the final segment (when it is an IR
+        # run); everything else leaves it for the post-loop add.
+        self._fold_index = (
+            len(self._segments) - 1
+            if self._segments and self._segments[-1][0] == "ir"
+            else None
+        )
         # (segment, in_shape, quantization, epilogue_add) -> ir.Program
         self._lowered: dict[tuple, ir.Program] = {}
         # (segment, n, in_shape, quantization, epilogue_add) -> interpreter
@@ -468,11 +475,17 @@ class BatchInvariantExecutor:
     ):
         """The (lowered, interpreted) program for one segment geometry.
 
-        Lowering is cached per-sample-geometry; the interpreter binding is
-        additionally cached per batch size.  Both caches key on the
+        One dict lookup on the serving path: interpreters are cached per
+        call geometry (batch size included) and carry their program.
+        Lowering is additionally cached per-sample-geometry, so a new
+        batch size only binds a new interpreter.  Both caches key on the
         quantisation params and the epilogue-add request because the
         rewrite pipeline's output depends on them.
         """
+        key = (segment_index, n, shape, quantization, epilogue_add)
+        interpreter = self._programs.get(key)
+        if interpreter is not None:
+            return interpreter.program, interpreter
         lowered_key = (segment_index, shape, quantization, epilogue_add)
         program = self._lowered.get(lowered_key)
         if program is None:
@@ -484,11 +497,7 @@ class BatchInvariantExecutor:
                 rewrites=self.rewrites,
             )
             self._lowered[lowered_key] = program
-        key = (segment_index, n, shape, quantization, epilogue_add)
-        interpreter = self._programs.get(key)
-        if interpreter is None and any(
-            op.kind != "flatten" for op in program.ops
-        ):
+        if any(op.kind != "flatten" for op in program.ops):
             if self.backend == "native":
                 interpreter = _fastexec.CompiledProgram(program, n)
             else:
@@ -745,7 +754,11 @@ class BatchInvariantExecutor:
         """
         x = np.ascontiguousarray(batch)
         extra = epilogue_add
-        if extra is not None:
+        if extra is not None and not (
+            type(extra) is np.ndarray
+            and extra.dtype == np.float32
+            and extra.flags.c_contiguous
+        ):
             extra = np.ascontiguousarray(np.asarray(extra, dtype=np.float32))
         if quantization is not None and x.dtype == np.float32:
             quantization = None  # already dequantised upstream
@@ -759,13 +772,7 @@ class BatchInvariantExecutor:
                 out = out + extra.reshape(out.shape)
             return self._finish(out)
         pending = quantization
-        # The epilogue add belongs to the final segment (when it is an IR
-        # run); everything else leaves `extra` for the post-loop add.
-        fold_index = (
-            len(self._segments) - 1
-            if self._segments and self._segments[-1][0] == "ir"
-            else None
-        )
+        fold_index = self._fold_index
         for segment_index, (kind, rows) in enumerate(self._segments):
             if kind == "python":
                 if pending is not None:
@@ -814,6 +821,6 @@ class BatchInvariantExecutor:
         return self._finish(x)
 
     def _finish(self, x: np.ndarray) -> np.ndarray:
-        if self._owns(x):
+        if self._scratch and self._owns(x):
             x = x.copy()
         return x

@@ -72,20 +72,25 @@ def amplified_epsilon(
 ) -> float:
     """Central ``epsilon`` after uniformly shuffling ``n`` local reports.
 
-    The Feldman–McMillan–Talwar amplification-by-shuffling bound used by
-    the shuffling-framework literature (Meehan et al.): ``n`` users, each
-    ``epsilon0``-LDP, whose reports pass through a uniform shuffler
-    jointly satisfy ``(epsilon, delta)``-DP with ::
+    The amplification-by-shuffling bound of Feldman, McMillan and Talwar,
+    "Hiding Among the Clones" (arXiv:2012.12803), Theorem 3.1: ``n``
+    users, each ``epsilon0``-LDP, whose reports pass through a uniform
+    shuffler jointly satisfy ``(epsilon, delta)``-DP with ::
 
-        epsilon = log(1 + (e^{epsilon0} - 1) * (
-            sqrt(32 * log(4 / delta) / ((e^{epsilon0} + 1) * n)) + 4 / n
+        epsilon = log(1 + (e^{epsilon0} - 1) / (e^{epsilon0} + 1) * (
+            8 * sqrt(e^{epsilon0} * log(4 / delta)) / sqrt(n)
+            + 8 * e^{epsilon0} / n
         ))
 
-    The bound is only meaningful once ``n`` is large enough for the inner
-    term to dip below 1; for small anonymity sets (or ``n == 1``, where
-    shuffling is the identity) the local guarantee is the best available,
-    so the result is clamped to ``min(epsilon0, bound)`` — amplification
-    never *weakens* a guarantee.
+    The theorem holds only for ``epsilon0 <= log(n / (16 * log(2 / delta)))``;
+    outside that range (small anonymity sets, or ``n == 1`` where
+    shuffling is the identity) the local guarantee ``epsilon0`` is
+    returned.  Inside it the result is still clamped to
+    ``min(epsilon0, bound)`` — amplification never *weakens* a guarantee.
+
+    Each report is assumed to be one user's ``epsilon0``-LDP output; a
+    session contributing several rows to one batch is not accounted for
+    here.
 
     Args:
         epsilon0: Per-report local DP parameter (>= 0).
@@ -101,12 +106,13 @@ def amplified_epsilon(
         raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
     if epsilon0 == 0.0:
         return 0.0
-    if n == 1:
+    if epsilon0 > np.log(n / (16.0 * np.log(2.0 / delta))):
         return float(epsilon0)
     e0 = np.exp(epsilon0)
     bound = np.log1p(
         (e0 - 1.0)
-        * (np.sqrt(32.0 * np.log(4.0 / delta) / ((e0 + 1.0) * n)) + 4.0 / n)
+        / (e0 + 1.0)
+        * (8.0 * np.sqrt(e0 * np.log(4.0 / delta)) / np.sqrt(n) + 8.0 * e0 / n)
     )
     return float(min(epsilon0, bound))
 

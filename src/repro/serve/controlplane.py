@@ -1216,7 +1216,7 @@ class ControlPlane:
                 request.ordering_key, deque()
             ).append(request)
         deployment.metrics.record_mixing(
-            [request.ordering_key for request in window],
+            [request.session_id for request in window],
             [request.rows for request in window],
         )
         # Edge half on the dispatcher: the deployment's noise stream has
@@ -1242,7 +1242,7 @@ class ControlPlane:
                     quantization=message.quantization,
                 )
                 deployment.metrics.record_shuffle(
-                    [request.ordering_key for request in window]
+                    [request.session_id for request in window]
                 )
         uplink = encode_activation_batch(message)
         task = _Task(

@@ -137,41 +137,96 @@ class ServingMetrics:
             self.worker_busy_seconds.get(worker_id, 0.0) + busy_seconds
         )
 
+    def record_batch(
+        self,
+        submitted_at: Sequence[float],
+        slo_seconds: Sequence[float | None],
+        samples: int,
+        dispatched_at: float,
+        delivered_at: float,
+    ) -> None:
+        """Account one micro-batch delivered as a unit, in one call.
+
+        Args:
+            submitted_at: Submission time of each request in the batch.
+            slo_seconds: Each request's SLO (``None`` for best effort).
+            samples: Image rows across the batch.
+            dispatched_at / delivered_at: When the batch left the queue
+                and when its logits were delivered.
+
+        Records exactly what one :meth:`record_completion` per request
+        plus the per-request queue ages and the batch counters would: one
+        queue age and one latency per request, the SLO tallies, the
+        occupancy sample, and the request/sample/batch counters.
+        """
+        n = len(submitted_at)
+        self.queue_ages.extend([dispatched_at - t for t in submitted_at])
+        latencies = [delivered_at - t for t in submitted_at]
+        self.latencies.extend(latencies)
+        if slo_seconds.count(None) != n:
+            for latency, slo in zip(latencies, slo_seconds):
+                if slo is not None:
+                    self.slo_total += 1
+                    if latency <= slo:
+                        self.slo_met += 1
+        self.requests += n
+        self.samples += samples
+        self.micro_batches += 1
+        self.occupancies.append(n)
+
     def record_mixing(
         self, request_keys: Sequence, request_rows: Sequence[int]
     ) -> None:
         """Account cross-user mixing for one dispatched micro-batch.
 
         Args:
-            request_keys: One ordering key per request in the batch.
+            request_keys: One session key per request in the batch;
+                ``None`` marks a sessionless request, which belongs to no
+                session but its own.
             request_rows: Image rows each request contributes.
 
         Every request records ``other_rows / total_rows`` — the fraction
         of the stacked activation it shared a batch with that belongs to
         *other* sessions.  A single-session batch records 0.0 per request.
+        A batch of sessionless requests (the common case) costs one list
+        build, with no per-request key bookkeeping.
         """
-        total = int(sum(request_rows))
+        keys = list(request_keys)
+        rows = list(request_rows)
+        total = int(sum(rows))
         if total == 0:
             return
+        n = len(keys)
+        if keys.count(None) == n:
+            self.mixing_fractions.extend([(total - r) / total for r in rows])
+            return
         own: dict = {}
-        for key, rows in zip(request_keys, request_rows):
-            own[key] = own.get(key, 0) + int(rows)
-        for key in request_keys:
-            self.mixing_fractions.append((total - own[key]) / total)
+        for key, r in zip(keys, rows):
+            if key is not None:
+                own[key] = own.get(key, 0) + r
+        self.mixing_fractions.extend(
+            [
+                (total - (r if key is None else own[key])) / total
+                for key, r in zip(keys, rows)
+            ]
+        )
 
     def record_shuffle(self, request_keys: Sequence) -> None:
         """Account one shuffled micro-batch and its anonymity set.
 
         Args:
-            request_keys: One ordering key per request in the batch.
+            request_keys: One session key per request in the batch
+                (``None`` for a sessionless request, a session of its own).
 
         The anonymity set is the number of *distinct* sessions whose rows
         were permuted together: a positional adversary observing the wire
         can attribute a row to at best "one of n users".  Recorded once
         per batch the :class:`~repro.serve.scheduler.Shuffler` permuted.
         """
+        sessions = {key for key in request_keys if key is not None}
+        solo = sum(key is None for key in request_keys)
         self.shuffled_batches += 1
-        self.anonymity_sets.append(len(set(request_keys)))
+        self.anonymity_sets.append(len(sessions) + solo)
 
     # ------------------------------------------------------------------
     # Aggregation (sharded serving)

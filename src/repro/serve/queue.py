@@ -20,7 +20,6 @@ whole scheduling stack can be driven deterministically in virtual time
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from collections import deque
 from typing import Callable, Hashable, Iterator
 
@@ -29,32 +28,44 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
-@dataclass
 class InferenceRequest:
     """One pending request.
+
+    A slotted record built once per submission, so enqueueing stays cheap
+    on the serving hot path; ``rows`` is fixed at construction.
 
     Attributes:
         request_id: Session-unique, monotonically increasing id.
         images: ``(n, C, H, W)`` image batch (single images are stored with
             the batch dimension restored).
         submitted_at: Submission time on the queue's clock (for latency
-            accounting and deadline math).
+            accounting and deadline math); defaults to the wall clock.
         slo_seconds: Optional latency SLO; the request's deadline is
             ``submitted_at + slo_seconds``.
         session_id: Optional user-session key; the serving engine releases
             results of one session in submission order.
+        rows: Samples this request contributes to a micro-batch.
     """
 
-    request_id: int
-    images: np.ndarray
-    submitted_at: float = field(default_factory=time.perf_counter)
-    slo_seconds: float | None = None
-    session_id: Hashable | None = None
+    __slots__ = ("request_id", "images", "submitted_at", "slo_seconds",
+                 "session_id", "rows")
 
-    @property
-    def rows(self) -> int:
-        """Samples this request contributes to a micro-batch."""
-        return len(self.images)
+    def __init__(
+        self,
+        request_id: int,
+        images: np.ndarray,
+        submitted_at: float | None = None,
+        slo_seconds: float | None = None,
+        session_id: Hashable | None = None,
+    ) -> None:
+        self.request_id = request_id
+        self.images = images
+        self.submitted_at = (
+            time.perf_counter() if submitted_at is None else submitted_at
+        )
+        self.slo_seconds = slo_seconds
+        self.session_id = session_id
+        self.rows = len(images)
 
     @property
     def deadline(self) -> float | None:
@@ -100,31 +111,33 @@ class RequestQueue:
         """Enqueue one request; returns its id.
 
         A 3-D ``(C, H, W)`` array is treated as a single image.
+        Validation is a handful of attribute checks: the serving loop
+        submits once per request.
         """
-        images = np.asarray(images)
-        if images.ndim == 3:
+        if type(images) is not np.ndarray:
+            images = np.asarray(images)
+        ndim = images.ndim
+        if ndim == 3:
             images = images[None]
-        if images.ndim != 4:
+        elif ndim != 4:
             raise ConfigurationError(
                 f"requests must be (C, H, W) or (n, C, H, W) images, "
                 f"got shape {images.shape}"
             )
-        if len(images) == 0:
+        if not images.shape[0]:
             raise ConfigurationError("cannot submit an empty request")
         if slo_seconds is not None and slo_seconds <= 0:
             raise ConfigurationError(
                 f"a latency SLO must be positive, got {slo_seconds}"
             )
-        request = InferenceRequest(
-            request_id=self._next_id,
-            images=images,
-            submitted_at=self._clock(),
-            slo_seconds=slo_seconds,
-            session_id=session_id,
+        request_id = self._next_id
+        self._next_id = request_id + 1
+        self._pending.append(
+            InferenceRequest(
+                request_id, images, self._clock(), slo_seconds, session_id
+            )
         )
-        self._next_id += 1
-        self._pending.append(request)
-        return request.request_id
+        return request_id
 
     @property
     def submitted(self) -> int:
@@ -141,10 +154,13 @@ class RequestQueue:
             raise ConfigurationError(
                 f"window must be >= 1 request, got {max_requests}"
             )
-        window: list[InferenceRequest] = []
-        while self._pending and len(window) < max_requests:
-            window.append(self._pending.popleft())
-        return window
+        pending = self._pending
+        if len(pending) <= max_requests:
+            window = list(pending)
+            pending.clear()
+            return window
+        popleft = pending.popleft
+        return [popleft() for _ in range(max_requests)]
 
     def requeue_front(self, requests: list[InferenceRequest]) -> None:
         """Return already-popped requests to the head of the queue.

@@ -209,7 +209,7 @@ def simulate_schedule(
         for request in window:
             metrics.queue_ages.append(formed - request.submitted_at)
         metrics.record_mixing(
-            [request.ordering_key for request in window],
+            [request.session_id for request in window],
             [request.rows for request in window],
         )
         worker = int(np.argmin(worker_free))

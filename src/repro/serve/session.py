@@ -16,6 +16,17 @@ independent of batch geometry, and (b) the edge device draws each
 request's noise members in arrival order from the shared generator, so the
 sample streams coincide.  Quantised sessions trade that exactness for a
 4x smaller uplink (the stacked payload is quantised once per micro-batch).
+
+Python work is per micro-batch, not per request.  ``submit`` builds one
+slotted :class:`~repro.serve.queue.InferenceRequest`; ``step`` reads each
+per-request column (ids, images, sessions, submission times, SLOs) out
+of the closed window by one comprehension, records mixing with one
+:meth:`~repro.serve.metrics.ServingMetrics.record_mixing` call and the
+queue ages, latencies, SLO tallies, occupancy and counters with one
+:meth:`~repro.serve.metrics.ServingMetrics.record_batch` call, and
+delivers the logits as row views of the decoded downlink payload with
+one dict update.  Beyond those column reads, a request costs an id and a
+row view.
 """
 
 from __future__ import annotations
@@ -31,11 +42,11 @@ from repro.edge.costs import cut_cost
 from repro.edge.device import CloudServer, EdgeDevice, SessionReport
 from repro.edge.protocol import (
     BatchActivationMessage,
-    BatchPredictionMessage,
     decode_activation_batch,
     decode_prediction_batch,
     encode_activation_batch,
     encode_prediction_batch,
+    split_rows,
 )
 from repro.edge.quantization import QuantizationParams
 from repro.errors import ConfigurationError
@@ -118,7 +129,6 @@ class BatchedInferenceSession:
         )
         self._edge_cost = cut_cost(model, cut)
         self._results: dict[int, np.ndarray] = {}
-        self._submitted: dict[int, float] = {}
         self.metrics = ServingMetrics()
         # Pre-size executor scratch (and compile native programs) for the
         # planner's chosen window so the first micro-batch pays no
@@ -142,10 +152,9 @@ class BatchedInferenceSession:
         here only feeds attainment accounting; deadline-aware scheduling
         is the :class:`~repro.serve.engine.ServingEngine`'s job.
         """
-        request_id = self.queue.submit(
+        return self.queue.submit(
             images, slo_seconds=slo_seconds, session_id=session_id
         )
-        return request_id
 
     @property
     def pending(self) -> int:
@@ -159,22 +168,26 @@ class BatchedInferenceSession:
         run the local half once, ship one batched activation frame over the
         channel, run the remote half once, ship one batched prediction
         frame back, and demultiplex the logits to their request ids.
+        Bookkeeping is per batch: each per-request column is read out by
+        one comprehension, and metrics are recorded by one call each.
         """
         window = self.batcher.next_batch()
         if not window:
             return []
         start = time.perf_counter()
-        for request in window:
-            self.metrics.queue_ages.append(start - request.submitted_at)
-        self.metrics.record_mixing(
-            [request.ordering_key for request in window],
-            [request.rows for request in window],
-        )
-        wire_before = self.channel.stats.simulated_seconds
-        message = self.device.forward_batch(
-            [request.images for request in window],
-            [request.request_id for request in window],
-        )
+        # Every per-request column is read while the window is hot, before
+        # the kernels run.
+        request_ids = [request.request_id for request in window]
+        images = [request.images for request in window]
+        rows = [request.rows for request in window]
+        sessions = [request.session_id for request in window]
+        submitted = [request.submitted_at for request in window]
+        slos = [request.slo_seconds for request in window]
+        metrics = self.metrics
+        metrics.record_mixing(sessions, rows)
+        channel = self.channel
+        wire_before = channel.stats.simulated_seconds
+        message = self.device.forward_batch(images, request_ids)
         permutation = None
         if self.shuffler is not None:
             permutation = self.shuffler.permute(len(message.tensor))
@@ -185,42 +198,24 @@ class BatchedInferenceSession:
                     tensor=permutation.apply(message.tensor),
                     quantization=message.quantization,
                 )
-                self.metrics.record_shuffle(
-                    [request.ordering_key for request in window]
-                )
+                metrics.record_shuffle(sessions)
         uplink = encode_activation_batch(message)
-        delivered = decode_activation_batch(self.channel.transmit(uplink))
+        delivered = decode_activation_batch(channel.transmit(uplink))
         response = self.server.predict_batch(delivered)
-        downlink = self.channel.transmit(encode_prediction_batch(response))
-        decoded = decode_prediction_batch(downlink)
+        downlink = channel.transmit(encode_prediction_batch(response))
+        logits = decode_prediction_batch(downlink).logits
         if permutation is not None:
-            decoded = BatchPredictionMessage(
-                request_ids=decoded.request_ids,
-                splits=decoded.splits,
-                logits=permutation.restore(decoded.logits),
-            )
-        completed: list[int] = []
+            logits = permutation.restore(logits)
         now = time.perf_counter()
-        for request, request_id, logits in zip(
-            window, decoded.request_ids, decoded.split_logits()
-        ):
-            self._results[request_id] = logits
-            self.metrics.record_completion(
-                now - request.submitted_at, request.slo_seconds
-            )
-            completed.append(request_id)
-
-        self.metrics.requests += len(window)
-        self.metrics.samples += sum(request.rows for request in window)
-        self.metrics.micro_batches += 1
-        self.metrics.occupancies.append(len(window))
-        self.metrics.uplink_bytes += len(uplink)
-        self.metrics.downlink_bytes += len(downlink)
-        self.metrics.wall_seconds += now - start
-        self.metrics.simulated_wire_seconds += (
-            self.channel.stats.simulated_seconds - wire_before
+        self._results.update(zip(request_ids, split_rows(logits, rows)))
+        metrics.record_batch(submitted, slos, len(logits), start, now)
+        metrics.uplink_bytes += len(uplink)
+        metrics.downlink_bytes += len(downlink)
+        metrics.wall_seconds += now - start
+        metrics.simulated_wire_seconds += (
+            channel.stats.simulated_seconds - wire_before
         )
-        return completed
+        return request_ids
 
     def drain(self) -> None:
         """Serve micro-batches until the queue is empty."""
@@ -229,12 +224,13 @@ class BatchedInferenceSession:
 
     def result(self, request_id: int) -> np.ndarray:
         """Collect (and release) the logits of a completed request."""
-        if request_id not in self._results:
+        try:
+            return self._results.pop(request_id)
+        except KeyError:
             raise ConfigurationError(
                 f"request {request_id} has no result (still queued, unknown, "
                 "or already collected)"
-            )
-        return self._results.pop(request_id)
+            ) from None
 
     # ------------------------------------------------------------------
     # Stream convenience API

@@ -136,6 +136,27 @@ class TestAmplifiedEpsilon:
         for n in (2, 10, 100, 10_000):
             assert amplified_epsilon(2.0, n) <= 2.0
 
+    @pytest.mark.parametrize(
+        "epsilon0, n, expected",
+        [
+            (1.0, 1000, 0.532),
+            (4.0, 100_000, 0.502),
+            (1.0, 10_000, 0.199),
+            # log(100 / (16 log(2e5))) < 2: the theorem does not apply,
+            # so the local guarantee stands.
+            (2.0, 100, 2.0),
+        ],
+    )
+    def test_hiding_among_the_clones_values(self, epsilon0, n, expected):
+        assert amplified_epsilon(epsilon0, n) == pytest.approx(expected, abs=5e-4)
+
+    def test_precondition_boundary(self):
+        delta = 1e-5
+        n = 1000
+        limit = float(np.log(n / (16.0 * np.log(2.0 / delta))))
+        assert amplified_epsilon(limit * 1.001, n, delta) == limit * 1.001
+        assert amplified_epsilon(limit * 0.999, n, delta) < limit * 0.999
+
     def test_monotone_in_n(self):
         values = [amplified_epsilon(1.0, n) for n in (10, 100, 1000, 100_000)]
         assert values == sorted(values, reverse=True)
